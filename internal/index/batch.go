@@ -180,7 +180,7 @@ func (s *Shard) SearchBatch(reqs []*core.SearchRequest) ([]*core.SearchResponse,
 
 	for _, q := range members {
 		sc := q.sc
-		sc.merged = topk.MergeInto(sc.merged, q.rerankK, q.sel.Sorted())
+		sc.handOff(q.sel)
 		items := s.rerankExact(q.req, q.k, sc, &q.adm)
 		resps[q.idx] = s.assembleResponse(items, q.scanned, len(sc.probe))
 	}

@@ -1151,15 +1151,14 @@ func (s *Shard) Attrs(id core.ImageID) (core.Attrs, bool) { return s.fwd.Get(id)
 func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 
 // searchScratch is the pooled per-query scratch: probe-selection buffers,
-// one top-k selector per scan worker, and the merge output. Pooling keeps
-// the hot path free of per-query allocations across serial and parallel
-// scans.
+// one top-k selector per scan worker, and the scan's candidate set.
+// Pooling keeps the hot path free of per-query allocations across serial
+// and parallel scans.
 type searchScratch struct {
 	probe     []int
 	probeDist []float32
 	sels      []*topk.Selector
-	parts     [][]topk.Item
-	merged    []topk.Item
+	merged    []topk.Item // scan output: unordered on the ADC path, sorted on the exact path
 	counts    []int
 	ids       [][]uint32  // per-worker id snapshots of the blocked 4-bit scan
 	missing   []topk.Item // re-rank candidates whose raw row was unavailable
@@ -1199,6 +1198,13 @@ func (sc *searchScratch) selectors(n, k int) []*topk.Selector {
 	return sels
 }
 
+// handOff copies sel's retained items, unordered, into sc.merged — the
+// scan's candidate set. A copy, not an alias: the re-rank reconfigures
+// the same pooled selector while it reads sc.merged.
+func (sc *searchScratch) handOff(sel *topk.Selector) {
+	sc.merged = append(sc.merged[:0], sel.Unordered()...)
+}
+
 // workerCounts returns n zeroed per-worker scanned counters.
 func (sc *searchScratch) workerCounts(n int) []int {
 	if cap(sc.counts) < n {
@@ -1216,8 +1222,8 @@ func (sc *searchScratch) workerCounts(n int) []int {
 // Lock-free with respect to the real-time indexing writer. When the
 // shard's SearchWorkers is above 1 the
 // probed lists are striped across that many goroutines, each selecting a
-// private top-k over its share, merged at the end; results are identical
-// to the serial scan.
+// private top-k over its share, folded together at the end; results are
+// identical to the serial scan.
 //
 // When a product quantizer is installed (TrainPQ / SetPQCodebook / a
 // PQ-bearing snapshot) the scan scores ADC codes instead of float rows: a
@@ -1294,6 +1300,7 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 		scanned = s.scanStriped(workers, k, sc, func(start, stride int, sel *topk.Selector) int {
 			return s.scanLists(req, lists, start, stride, sel, &adm)
 		})
+		topk.Sort(sc.merged)
 		items = sc.merged
 	}
 
@@ -1371,8 +1378,8 @@ func (s *Shard) scanLists(req *core.SearchRequest, lists []int, start, stride in
 // 0.9930), saturating at 1.0 by mul=30. 8-bit defaults to that knee; the
 // 16-centroid 4-bit quantizer gets the full-saturation depth as margin
 // for corpora fine-grained enough for codebook resolution to matter —
-// which its cheaper scan more than pays for (610µs/query vs the 8-bit
-// default's 963µs on the sweep corpus).
+// which its cheaper scan more than pays for (969µs/query vs the 8-bit
+// default's 1.40ms on the sweep corpus).
 const (
 	defaultRerankMul8 = 20
 	defaultRerankMul4 = 30
@@ -1400,17 +1407,19 @@ func (s *Shard) rerankDepth(k, bits int) int {
 
 // scanStriped runs scan(start, stride, sel) striped across the workers —
 // the §2.4 multi-thread fan-out shared by the exact and ADC paths — and
-// leaves the merged best-k candidates in sc.merged, returning the total
-// candidates scored. scan must be safe for concurrent calls with distinct
-// (start, sel) pairs.
+// leaves the best-k candidates, unordered, in sc.merged, returning the
+// total candidates scored. Workers 1..n are folded into worker 0's
+// selector by pushing their items: a selector's retained set is a pure
+// function of the candidate multiset, so the fold keeps exactly the set a
+// serial scan would, with no per-worker sort or merge. scan must be safe
+// for concurrent calls with distinct (start, sel) pairs.
 func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, stride int, sel *topk.Selector) int) int {
+	sels := sc.selectors(workers, k)
 	if workers == 1 {
-		sel := sc.selectors(1, k)[0]
-		n := scan(0, 1, sel)
-		sc.merged = topk.MergeInto(sc.merged, k, sel.Sorted())
+		n := scan(0, 1, sels[0])
+		sc.handOff(sels[0])
 		return n
 	}
-	sels := sc.selectors(workers, k)
 	counts := sc.workerCounts(workers)
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -1423,14 +1432,14 @@ func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, 
 	// Worker 0 runs on the calling goroutine.
 	counts[0] = scan(0, workers, sels[0])
 	wg.Wait()
-	parts := sc.parts[:0]
-	scanned := 0
-	for w := 0; w < workers; w++ {
+	scanned := counts[0]
+	for w := 1; w < workers; w++ {
 		scanned += counts[w]
-		parts = append(parts, sels[w].Sorted())
+		for _, it := range sels[w].Unordered() {
+			sels[0].Push(it.ID, it.Dist)
+		}
 	}
-	sc.parts = parts
-	sc.merged = topk.MergeInto(sc.merged, k, parts...)
+	sc.handOff(sels[0])
 	return scanned
 }
 
@@ -1465,9 +1474,10 @@ func (s *Shard) searchADC(req *core.SearchRequest, lists []int, workers, k int, 
 	return s.rerankExact(req, k, sc, adm), scanned
 }
 
-// rerankExact re-ranks the ADC-selected candidates in sc.merged exactly
-// against the raw feature rows and returns the final top k — the shared
-// last stage of the single-query and batched ADC paths.
+// rerankExact re-ranks the ADC-selected candidate set in sc.merged (in
+// no particular order) exactly against the raw feature rows and returns
+// the final top k, sorted — the shared last stage of the single-query and
+// batched ADC paths.
 func (s *Shard) rerankExact(req *core.SearchRequest, k int, sc *searchScratch, adm *admission) []topk.Item {
 	// Raw row reads below; keep the mmap mapping alive (see Search).
 	defer runtime.KeepAlive(s)
@@ -1490,11 +1500,13 @@ func (s *Shard) rerankExact(req *core.SearchRequest, k int, sc *searchScratch, a
 		sel.Push(it.ID, vecmath.L2Squared(req.Feature, row))
 	}
 	if ranked < k {
-		// Backfill from the next approximate candidates: sc.merged is
-		// ADC-distance-ordered, and the ADC estimate is the best score
-		// available for a row the store cannot produce. Only the shortfall
-		// is filled, so an approximate score never displaces an exact one
-		// when k exact candidates exist.
+		// Backfill from the next approximate candidates, best ADC
+		// estimate first: it is the best score available for a row the
+		// store cannot produce. The candidate set is unordered, so the
+		// missing rows are put in (Dist, ID) order here — only on this
+		// rare path. Only the shortfall is filled, so an approximate score
+		// never displaces an exact one when k exact candidates exist.
+		topk.Sort(missing)
 		for _, it := range missing {
 			if ranked == k {
 				break

@@ -95,7 +95,11 @@ func BenchmarkSearchWorkers(b *testing.B) {
 // feature rows spill out of cache — the condition the ADC path exists
 // for. Each batch variant pushes the same 8 queries per iteration —
 // batch=1 as 8 sequential Search calls, batch=8 as one SearchBatch — so
-// ns/op is directly comparable across batch sizes.
+// ns/op is directly comparable across batch sizes. Rows without a topk
+// suffix serve a TopK 10 page; the bits=4 topk=30 rows are the fan-out
+// shape the reference cluster serves (the blender's Oversample 3 × page
+// 10 against 4-bit shards), whose 900-deep re-rank makes the hand-off
+// from scan to re-rank a visible share of the query.
 func BenchmarkADCScan(b *testing.B) {
 	const n, dim, m = 100_000, 64, 16
 	rng := rand.New(rand.NewSource(41))
@@ -136,34 +140,45 @@ func BenchmarkADCScan(b *testing.B) {
 			}
 		}
 	})
-	for _, bits := range []int{8, 4} {
-		s := build(m, bits)
-		for _, batch := range []int{1, 8} {
-			b.Run(fmt.Sprintf("path=adc/bits=%d/batch=%d", bits, batch), func(b *testing.B) {
-				reqs := make([]*core.SearchRequest, 8)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for q := range reqs {
-						reqs[q] = &core.SearchRequest{Feature: feats[((i*8+q)*37)%n], TopK: 10, NProbe: 8, Category: -1}
-					}
-					if batch == 1 {
-						for _, req := range reqs {
-							if _, err := s.Search(req); err != nil {
-								b.Fatal(err)
-							}
+	cases := []struct{ bits, batch, topK int }{
+		{8, 1, 10}, {8, 8, 10}, {4, 1, 10}, {4, 8, 10}, {4, 1, 30}, {4, 8, 30},
+	}
+	shards := map[int]*Shard{}
+	for _, c := range cases {
+		s := shards[c.bits]
+		if s == nil {
+			s = build(m, c.bits)
+			shards[c.bits] = s
+		}
+		batch, topK := c.batch, c.topK
+		name := fmt.Sprintf("path=adc/bits=%d/batch=%d", c.bits, batch)
+		if topK != 10 {
+			name += fmt.Sprintf("/topk=%d", topK)
+		}
+		b.Run(name, func(b *testing.B) {
+			reqs := make([]*core.SearchRequest, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for q := range reqs {
+					reqs[q] = &core.SearchRequest{Feature: feats[((i*8+q)*37)%n], TopK: topK, NProbe: 8, Category: -1}
+				}
+				if batch == 1 {
+					for _, req := range reqs {
+						if _, err := s.Search(req); err != nil {
+							b.Fatal(err)
 						}
-					} else {
-						_, errs := s.SearchBatch(reqs)
-						for _, err := range errs {
-							if err != nil {
-								b.Fatal(err)
-							}
+					}
+				} else {
+					_, errs := s.SearchBatch(reqs)
+					for _, err := range errs {
+						if err != nil {
+							b.Fatal(err)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/pq"
+	"jdvs/internal/topk"
+	"jdvs/internal/vecmath"
 )
 
 // relistShard builds a PQ-enabled shard whose IVF centroids are far apart,
@@ -221,7 +225,11 @@ func TestRelistDimValidation(t *testing.T) {
 
 // TestADCRerankBackfill: when raw rows are unavailable at re-rank time,
 // the ADC path must backfill from the next approximate candidates (scored
-// by their ADC distance) instead of returning fewer than k results.
+// by their ADC distance) instead of returning fewer than k results. The
+// backfilled rows must be the best missing candidates in ADC (Dist, ID)
+// order: every page is compared against a reference built from the fully
+// sorted ADC candidate list, at one scan worker and with the workers'
+// selectors folded.
 func TestADCRerankBackfill(t *testing.T) {
 	s, feats := relistShard(t)
 	n := s.feats.Len()
@@ -231,30 +239,83 @@ func TestADCRerankBackfill(t *testing.T) {
 	const kept = 20
 	s.feats.(*featMat).length.Store(kept)
 
-	const k = 10
-	missingHits := 0
-	for qi := 0; qi < 20; qi++ {
-		resp, err := s.Search(&core.SearchRequest{Feature: feats[n-1-qi], TopK: k, NProbe: 8, Category: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Hits) != k {
-			t.Fatalf("query %d: %d hits, want %d (shard holds %d valid images)", qi, len(resp.Hits), k, n)
-		}
-		seen := make(map[uint32]bool, k)
-		for _, h := range resp.Hits {
-			if seen[h.Image.Local] {
-				t.Fatalf("duplicate hit %d", h.Image.Local)
+	const k, nprobe = 10, 8
+	for _, workers := range []int{1, 3} {
+		s.SetSearchWorkers(workers)
+		missingHits := 0
+		for qi := 0; qi < 20; qi++ {
+			q := feats[n-1-qi]
+			resp, err := s.Search(&core.SearchRequest{Feature: q, TopK: k, NProbe: nprobe, Category: -1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[h.Image.Local] = true
-			if h.Image.Local >= kept {
-				missingHits++
+			if len(resp.Hits) != k {
+				t.Fatalf("workers %d query %d: %d hits, want %d (shard holds %d valid images)", workers, qi, len(resp.Hits), k, n)
 			}
+			want := backfillReference(t, s, q, k, nprobe)
+			for i, h := range resp.Hits {
+				if got := (topk.Item{ID: uint64(h.Image.Local), Dist: h.Dist}); got != want[i] {
+					t.Fatalf("workers %d query %d hit %d: got %v, want %v\npage: %v\nwant: %v",
+						workers, qi, i, got, want[i], resp.Hits, want)
+				}
+				if h.Image.Local >= kept {
+					missingHits++
+				}
+			}
+		}
+		if missingHits == 0 {
+			t.Fatal("no backfilled candidates surfaced; test exercised nothing")
 		}
 	}
-	if missingHits == 0 {
-		t.Fatal("no backfilled candidates surfaced; test exercised nothing")
+}
+
+// backfillReference computes the page the 8-bit ADC path must serve from
+// first principles: score every valid image in the probed lists by ADC,
+// sort the whole candidate list by (Dist, ID), cut it at the re-rank
+// depth, re-rank the rows the store still holds exactly, backfill the
+// shortfall from the rows it lost in ADC order, and keep the best k.
+func backfillReference(t *testing.T, s *Shard, q []float32, k, nprobe int) []topk.Item {
+	t.Helper()
+	ps := s.pqState.Load()
+	lut, err := ps.cb.BuildLUT(q, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	byDistID := func(c []topk.Item) {
+		sort.Slice(c, func(i, j int) bool {
+			if c[i].Dist != c[j].Dist {
+				return c[i].Dist < c[j].Dist
+			}
+			return c[i].ID < c[j].ID
+		})
+	}
+	probe, _ := vecmath.TopCentroidsInto(nil, nil, q, s.codebook.Centroids, s.cfg.Dim, nprobe)
+	var cands []topk.Item
+	for _, l := range probe {
+		s.inv.Scan(l, func(id uint32) bool {
+			if code := ps.codes.Row(id); code != nil && s.valid.Get(id) {
+				cands = append(cands, topk.Item{ID: uint64(id), Dist: pq.ADCDist(lut, code)})
+			}
+			return true
+		})
+	}
+	byDistID(cands)
+	if depth := s.rerankDepth(k, ps.cb.Bits); len(cands) > depth {
+		cands = cands[:depth]
+	}
+	var page, missing []topk.Item
+	for _, c := range cands {
+		if row := s.feats.Row(uint32(c.ID)); row != nil {
+			page = append(page, topk.Item{ID: c.ID, Dist: vecmath.L2Squared(q, row)})
+		} else {
+			missing = append(missing, c)
+		}
+	}
+	if short := k - len(page); short > 0 {
+		page = append(page, missing[:min(short, len(missing))]...)
+	}
+	byDistID(page)
+	return page[:min(k, len(page))]
 }
 
 // TestRelistSnapshotRoundTrip: a snapshot written after a changed-vector

@@ -1,12 +1,16 @@
-// Package topk implements bounded top-k selection over (id, distance) pairs
-// and k-way merging of partial result lists.
+// Package topk implements bounded top-k selection over (id, distance)
+// pairs.
 //
 // Searchers use a Selector to keep the k nearest images while scanning
-// inverted lists; brokers and blenders use Merge to combine partial top-k
-// lists from downstream nodes into a global top-k.
+// inverted lists. Because a selector's retained set is a pure function of
+// the candidate multiset, the per-worker selectors of a parallel scan are
+// combined by pushing one's items into another — no sorted merge needed.
 package topk
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Item is a candidate search result: an opaque 64-bit identifier and its
 // distance to the query. Lower distance is better.
@@ -57,14 +61,29 @@ func (s *Selector) WorstDist() (float32, bool) {
 	return s.heap[0].Dist, true
 }
 
-// itemLess orders items by (Dist, ID) ascending — the selector's and
-// Merge's shared total order.
+// itemLess orders items by (Dist, ID) ascending — the selector's total
+// order, shared with Sort.
 func itemLess(a, b Item) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
 }
+
+// compareItems is itemLess as a three-way comparison for slices.SortFunc.
+func compareItems(a, b Item) int {
+	switch {
+	case a.Dist < b.Dist:
+		return -1
+	case a.Dist > b.Dist:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// Sort sorts items in place by ascending distance, ties broken by
+// ascending ID — the order Sorted returns.
+func Sort(items []Item) { slices.SortFunc(items, compareItems) }
 
 // Push offers a candidate. It returns true if the candidate was retained.
 func (s *Selector) Push(id uint64, dist float32) bool {
@@ -81,19 +100,6 @@ func (s *Selector) Push(id uint64, dist float32) bool {
 	s.siftDown(0)
 	return true
 }
-
-// Results returns the retained items sorted by ascending distance (ties
-// broken by ascending ID for determinism). The selector is drained and may
-// be reused afterwards.
-func (s *Selector) Results() []Item {
-	out := s.heap
-	s.heap = make([]Item, 0, s.k)
-	sortItems(out)
-	return out
-}
-
-// Reset drops all retained items, keeping capacity.
-func (s *Selector) Reset() { s.heap = s.heap[:0] }
 
 // ResetK drops all retained items and reconfigures the selector to retain
 // the k closest, reusing the existing backing array when it is large
@@ -112,15 +118,24 @@ func (s *Selector) ResetK(k int) {
 }
 
 // Sorted sorts the retained items in place by ascending distance (ties
-// broken by ascending ID) and returns the selector's internal slice.
-// Unlike Results it performs no allocation, which makes it the right
-// drain for pooled per-query selectors. Sorting destroys the heap
-// invariant: call Reset or ResetK before pushing again, and treat the
-// returned slice as invalidated by any subsequent use of the selector.
+// broken by ascending ID) and returns the selector's internal slice,
+// without allocating, which makes it the drain for pooled per-query
+// selectors. Sorting destroys the heap invariant: call ResetK before
+// pushing again, and treat the returned slice as invalidated by any
+// subsequent use of the selector.
 func (s *Selector) Sorted() []Item {
-	sortItems(s.heap)
+	Sort(s.heap)
 	return s.heap
 }
+
+// Unordered returns the retained items in unspecified order — exactly the
+// multiset Sorted would return — as the selector's internal slice, without
+// sorting or allocating. It leaves the heap intact, so the selector may
+// keep accepting pushes, but any Push, ResetK or Sorted invalidates the
+// returned slice: copy it before reusing the selector. It is the drain
+// for consumers that select again anyway, such as folding one worker's
+// selector into another or re-ranking a candidate set.
+func (s *Selector) Unordered() []Item { return s.heap }
 
 func (s *Selector) siftUp(i int) {
 	for i > 0 {
@@ -150,75 +165,4 @@ func (s *Selector) siftDown(i int) {
 		s.heap[i], s.heap[largest] = s.heap[largest], s.heap[i]
 		i = largest
 	}
-}
-
-func sortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
-}
-
-// Merge combines several already-sorted partial top-k lists into a single
-// sorted list of at most k items. Inputs must be sorted by ascending
-// distance (as produced by Selector.Results); Merge does not verify this.
-// Duplicate IDs are retained — deduplication is a ranking concern, not a
-// selection concern.
-func Merge(k int, lists ...[]Item) []Item {
-	return MergeInto(nil, k, lists...)
-}
-
-// MergeInto is Merge appending into dst (sliced to zero length first), so
-// per-query merge buffers can be pooled and reused without reallocating.
-// dst must not overlap any of the input lists. It returns the extended
-// slice.
-func MergeInto(dst []Item, k int, lists ...[]Item) []Item {
-	dst = dst[:0]
-	if k <= 0 {
-		return dst
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return dst
-	}
-	// Small constant number of lists (scan workers per shard, searchers per
-	// broker, brokers per blender): a repeated linear scan over list heads
-	// beats heap overhead.
-	var headsArr [16]int
-	heads := headsArr[:]
-	if len(lists) > len(headsArr) {
-		heads = make([]int, len(lists))
-	}
-	out := dst
-	if cap(out) < min(k, total) {
-		out = make([]Item, 0, min(k, total))
-	}
-	for len(out) < k {
-		best := -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			if itemLess(l[heads[i]], lists[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		out = append(out, lists[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -41,23 +42,24 @@ func TestSelectorBasics(t *testing.T) {
 	if s.Push(5, 100) {
 		t.Fatal("worse candidate accepted")
 	}
-	got := s.Results()
+	got := s.Sorted()
 	want := []Item{{2, 1}, {4, 2}, {3, 3}}
 	if len(got) != len(want) {
-		t.Fatalf("Results = %v, want %v", got, want)
+		t.Fatalf("Sorted = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Results = %v, want %v", got, want)
+			t.Fatalf("Sorted = %v, want %v", got, want)
 		}
 	}
-	// Selector is reusable after Results.
+	// Selector is reusable after ResetK.
+	s.ResetK(3)
 	if s.Len() != 0 {
-		t.Fatal("selector not drained after Results")
+		t.Fatal("selector not drained by ResetK")
 	}
 	s.Push(9, 1)
 	if s.Len() != 1 {
-		t.Fatal("selector unusable after Results")
+		t.Fatal("selector unusable after ResetK")
 	}
 }
 
@@ -66,7 +68,7 @@ func TestSelectorTieBreaksByID(t *testing.T) {
 	s.Push(30, 1)
 	s.Push(10, 1)
 	s.Push(20, 1)
-	got := s.Results()
+	got := s.Sorted()
 	for i, want := range []uint64{10, 20, 30} {
 		if got[i].ID != want {
 			t.Fatalf("tie-break order wrong: %v", got)
@@ -83,7 +85,7 @@ func TestSelectorBoundaryTieKeepsSmallestID(t *testing.T) {
 		for _, id := range order {
 			s.Push(id, 2)
 		}
-		got := s.Results()
+		got := s.Sorted()
 		if len(got) != 1 || got[0].ID != 5 {
 			t.Fatalf("push order %v: retained %v, want ID 5", order, got)
 		}
@@ -105,7 +107,7 @@ func TestSelectorMatchesSortOracle(t *testing.T) {
 		for _, it := range items {
 			s.Push(it.ID, it.Dist)
 		}
-		got := s.Results()
+		got := s.Sorted()
 
 		oracle := make([]Item, n)
 		copy(oracle, items)
@@ -141,7 +143,7 @@ func TestSelectorResultsSortedProperty(t *testing.T) {
 		for i, d := range dists {
 			s.Push(uint64(i), d)
 		}
-		got := s.Results()
+		got := s.Sorted()
 		if len(got) > k {
 			return false
 		}
@@ -154,38 +156,6 @@ func TestSelectorResultsSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMergeBasics(t *testing.T) {
-	a := []Item{{1, 1}, {3, 3}, {5, 5}}
-	b := []Item{{2, 2}, {4, 4}, {6, 6}}
-	got := Merge(4, a, b)
-	want := []uint64{1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Merge = %v", got)
-	}
-	for i := range want {
-		if got[i].ID != want[i] {
-			t.Fatalf("Merge = %v, want ids %v", got, want)
-		}
-	}
-}
-
-func TestMergeEdgeCases(t *testing.T) {
-	if got := Merge(0, []Item{{1, 1}}); got != nil {
-		t.Errorf("k=0 should merge to nil, got %v", got)
-	}
-	if got := Merge(5); got != nil {
-		t.Errorf("no lists should merge to nil, got %v", got)
-	}
-	if got := Merge(5, nil, nil); got != nil {
-		t.Errorf("empty lists should merge to nil, got %v", got)
-	}
-	// k larger than total.
-	got := Merge(10, []Item{{1, 1}}, []Item{{2, 2}})
-	if len(got) != 2 {
-		t.Errorf("merge of 2 items with k=10: got %v", got)
 	}
 }
 
@@ -230,8 +200,61 @@ func TestResetKPanicsOnBadK(t *testing.T) {
 	New(1).ResetK(0)
 }
 
-// TestSortedMatchesResults checks the allocation-free drain returns the
-// same sequence Results would.
+// TestMergeMatchesSortOracle validates the parallel scan's merge —
+// folding every per-worker selector into worker 0's by pushing its
+// unordered items — against concatenate-and-sort and against one selector
+// fed every candidate. IDs are dealt to workers at random and distances
+// are drawn from a narrow range, so (Dist, ID) ties at the k boundary
+// routinely straddle workers.
+func TestMergeMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		workers := 1 + rng.Intn(5)
+		k := 1 + rng.Intn(15)
+		n := rng.Intn(25 * workers)
+		all := make([]Item, n)
+		for i, id := range rng.Perm(n) {
+			all[i] = Item{ID: uint64(id), Dist: float32(rng.Intn(12))}
+		}
+		sels := make([]*Selector, workers)
+		for w := range sels {
+			sels[w] = New(k)
+		}
+		single := New(k)
+		for _, it := range all {
+			sels[rng.Intn(workers)].Push(it.ID, it.Dist)
+			single.Push(it.ID, it.Dist)
+		}
+		for w := 1; w < workers; w++ {
+			for _, it := range sels[w].Unordered() {
+				sels[0].Push(it.ID, it.Dist)
+			}
+		}
+		got := append([]Item(nil), sels[0].Unordered()...)
+		Sort(got)
+
+		oracle := append([]Item(nil), all...)
+		sort.Slice(oracle, func(i, j int) bool {
+			if oracle[i].Dist != oracle[j].Dist {
+				return oracle[i].Dist < oracle[j].Dist
+			}
+			return oracle[i].ID < oracle[j].ID
+		})
+		if len(oracle) > k {
+			oracle = oracle[:k]
+		}
+		if !slices.Equal(got, oracle) {
+			t.Fatalf("trial %d: folded selectors disagree with sort oracle:\ngot  %v\nwant %v", trial, got, oracle)
+		}
+		if want := single.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: folded selectors disagree with one selector:\ngot  %v\nwant %v", trial, got, want)
+		}
+	}
+}
+
+// TestSortedMatchesResults checks the allocation-free sorted drain returns
+// the same sequence as the unordered drain put in (Dist, ID) order with
+// Sort — the results the scan's re-rank hand-off works from.
 func TestSortedMatchesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
@@ -242,92 +265,10 @@ func TestSortedMatchesResults(t *testing.T) {
 			a.Push(id, d)
 			b.Push(id, d)
 		}
-		got, want := a.Sorted(), b.Results()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d vs %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d item %d: %v vs %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMergeIntoReusesBuffer(t *testing.T) {
-	a := []Item{{1, 1}, {3, 3}}
-	b := []Item{{2, 2}, {4, 4}}
-	buf := make([]Item, 0, 8)
-	got := MergeInto(buf, 3, a, b)
-	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 3 {
-		t.Fatalf("MergeInto = %v", got)
-	}
-	if &got[:1][0] != &buf[:1][0] {
-		t.Fatal("MergeInto reallocated despite sufficient capacity")
-	}
-	// A stale longer result is truncated, not retained.
-	got = MergeInto(got, 1, a)
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("MergeInto reuse = %v", got)
-	}
-	// More lists than the inline head buffer handles.
-	var lists [][]Item
-	for i := 0; i < 20; i++ {
-		lists = append(lists, []Item{{uint64(i), float32(i)}})
-	}
-	got = MergeInto(nil, 20, lists...)
-	if len(got) != 20 {
-		t.Fatalf("wide MergeInto len = %d", len(got))
-	}
-	for i := range got {
-		if got[i].ID != uint64(i) {
-			t.Fatalf("wide MergeInto[%d] = %v", i, got[i])
-		}
-	}
-}
-
-// TestMergeMatchesSortOracle validates Merge against concatenate-and-sort.
-func TestMergeMatchesSortOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		nLists := 1 + rng.Intn(5)
-		k := 1 + rng.Intn(15)
-		var lists [][]Item
-		var all []Item
-		id := uint64(0)
-		for l := 0; l < nLists; l++ {
-			n := rng.Intn(20)
-			list := make([]Item, n)
-			for i := range list {
-				list[i] = Item{ID: id, Dist: float32(rng.Intn(30))}
-				id++
-			}
-			sort.Slice(list, func(i, j int) bool {
-				if list[i].Dist != list[j].Dist {
-					return list[i].Dist < list[j].Dist
-				}
-				return list[i].ID < list[j].ID
-			})
-			lists = append(lists, list)
-			all = append(all, list...)
-		}
-		got := Merge(k, lists...)
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Dist != all[j].Dist {
-				return all[i].Dist < all[j].Dist
-			}
-			return all[i].ID < all[j].ID
-		})
-		if len(all) > k {
-			all = all[:k]
-		}
-		if len(got) != len(all) {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(all))
-		}
-		for i := range all {
-			if got[i] != all[i] {
-				t.Fatalf("trial %d: merge mismatch at %d:\ngot  %v\nwant %v", trial, i, got, all)
-			}
+		want := append([]Item(nil), b.Unordered()...)
+		Sort(want)
+		if got := a.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Sorted %v, sorted Unordered %v", trial, got, want)
 		}
 	}
 }
