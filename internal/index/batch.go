@@ -2,7 +2,6 @@ package index
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -101,12 +100,8 @@ func (s *Shard) SearchBatch(reqs []*core.SearchRequest) ([]*core.SearchResponse,
 		if leaderOf[i] != i {
 			continue
 		}
-		if s.codebook == nil {
-			errs[i] = ErrNotTrained
-			continue
-		}
-		if len(req.Feature) != s.cfg.Dim {
-			errs[i] = fmt.Errorf("index: query dim %d, shard dim %d", len(req.Feature), s.cfg.Dim)
+		if err := s.checkQuery(req); err != nil {
+			errs[i] = err
 			continue
 		}
 		k := req.TopK

@@ -332,6 +332,44 @@ var ErrNotTrained = errors.New("index: codebook not trained")
 // shard has never seen.
 var ErrUnknownProduct = errors.New("index: unknown product")
 
+// NonFiniteError reports a NaN or ±Inf coordinate in a query or an
+// inserted feature. Both are refused: a NaN distance is unordered against
+// every other, which breaks the (Dist, ID) total order that top-k
+// selection — and with it serial = parallel = batched equality — rests
+// on, and an infinite coordinate only ever scores +Inf or NaN.
+type NonFiniteError struct {
+	Coord int     // index of the first non-finite coordinate
+	Value float32 // its value
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("index: feature coordinate %d is %v", e.Coord, e.Value)
+}
+
+// checkFeature validates a query or inserted feature vector — named by
+// kind in the error — against the shard: the shard's dimension, every
+// coordinate finite.
+func (s *Shard) checkFeature(kind string, f []float32) error {
+	if len(f) != s.cfg.Dim {
+		return fmt.Errorf("index: %s dim %d, shard dim %d", kind, len(f), s.cfg.Dim)
+	}
+	for i, v := range f {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return &NonFiniteError{Coord: i, Value: v}
+		}
+	}
+	return nil
+}
+
+// checkQuery is the per-query validation Search and SearchBatch share: a
+// trained codebook and a finite feature of the shard's dimension.
+func (s *Shard) checkQuery(req *core.SearchRequest) error {
+	if s.codebook == nil {
+		return ErrNotTrained
+	}
+	return s.checkFeature("query", req.Feature)
+}
+
 // Train fits the IVF codebook on the given training features (flat row-major
 // n×Dim) — §2.2's "k-mean algorithm on a set of training data set".
 func (s *Shard) Train(features []float32, seed int64) error {
@@ -589,8 +627,8 @@ func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool,
 		if feature != nil {
 			// The reuse path historically skipped this validation, so a
 			// wrong-dim re-listing silently succeeded.
-			if len(feature) != s.cfg.Dim {
-				return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
+			if err := s.checkFeature("feature", feature); err != nil {
+				return 0, false, err
 			}
 			if !rowsEqual(s.feats.Row(id), feature) {
 				return s.refreshFeature(id, attrs, feature)
@@ -623,8 +661,8 @@ func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool,
 		return id, true, nil
 	}
 
-	if len(feature) != s.cfg.Dim {
-		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
+	if err := s.checkFeature("feature", feature); err != nil {
+		return 0, false, err
 	}
 	id, err := s.appendRow(attrs, feature)
 	if err != nil {
@@ -1232,11 +1270,8 @@ func (sc *searchScratch) workerCounts(n int) []int {
 // re-ranked exactly against the raw feature rows before the final top-k.
 // Shards without a quantizer take the exact float path unchanged.
 func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
-	if s.codebook == nil {
-		return nil, ErrNotTrained
-	}
-	if len(req.Feature) != s.cfg.Dim {
-		return nil, fmt.Errorf("index: query dim %d, shard dim %d", len(req.Feature), s.cfg.Dim)
+	if err := s.checkQuery(req); err != nil {
+		return nil, err
 	}
 	k := req.TopK
 	if k <= 0 {

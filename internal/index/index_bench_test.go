@@ -96,10 +96,12 @@ func BenchmarkSearchWorkers(b *testing.B) {
 // for. Each batch variant pushes the same 8 queries per iteration —
 // batch=1 as 8 sequential Search calls, batch=8 as one SearchBatch — so
 // ns/op is directly comparable across batch sizes. Rows without a topk
-// suffix serve a TopK 10 page; the bits=4 topk=30 rows are the fan-out
-// shape the reference cluster serves (the blender's Oversample 3 × page
-// 10 against 4-bit shards), whose 900-deep re-rank makes the hand-off
-// from scan to re-rank a visible share of the query.
+// suffix serve a TopK 10 page; the bits=4 topk=30 rows ask for the page
+// the blender requests (Oversample 3 × page 10), a 900-deep re-rank. They
+// are not the reference cluster's shape: this one 100k-image shard scores
+// ~12.5k codes per query, four times a 25k-image reference shard, so
+// most candidates are rejected at the selector's threshold and selection
+// barely shows. BenchmarkReferenceQuery measures the reference shape.
 func BenchmarkADCScan(b *testing.B) {
 	const n, dim, m = 100_000, 64, 16
 	rng := rand.New(rand.NewSource(41))
@@ -179,6 +181,65 @@ func BenchmarkADCScan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReferenceQuery times one query fanned out over the reference
+// cluster's four partitions: 4 shards × 25k images of the ADC corpus,
+// dim 64, 64 lists, 4-bit PQ with M=16, nprobe 8, one Search per shard
+// per op. At nprobe 8 of 64 lists each shard scores ~3.1k codes, so at
+// topk=30 the 900-deep over-fetch (TopK 30 × the 4-bit re-rank
+// multiplier 30) accepts most of them: the selector's cost per accepted
+// candidate and the exact re-rank of 900 rows are visible here, where
+// BenchmarkADCScan's 100k-image shard hides them behind ~12.5k scored
+// codes. topk=10 is a bare result page; topk=30 is what the blender asks
+// each searcher for (Oversample 3 × page 10). workers sets SearchWorkers.
+func BenchmarkReferenceQuery(b *testing.B) {
+	const shards, perShard, dim = 4, 25_000, 64
+	rng := rand.New(rand.NewSource(41))
+	feats := clusteredFeatures(rng, shards*perShard, dim, 64, 0.25)
+	train := make([]float32, 0, 2000*dim)
+	for i := 0; i < 2000; i++ {
+		train = append(train, feats[i]...)
+	}
+	parts := make([]*Shard, shards)
+	for p := range parts {
+		s, err := New(Config{Dim: dim, NLists: 64, DefaultNProbe: 8, PQSubvectors: 16, PQBits: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Train(train, 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.TrainPQ(train, 1); err != nil {
+			b.Fatal(err)
+		}
+		for i := p; i < len(feats); i += shards {
+			a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://ref/%d.jpg", i)}
+			if _, _, err := s.Insert(a, feats[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		parts[p] = s
+	}
+	for _, topK := range []int{10, 30} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("topk=%d/workers=%d", topK, workers), func(b *testing.B) {
+				for _, s := range parts {
+					s.SetSearchWorkers(workers)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					req := &core.SearchRequest{Feature: feats[(i*37)%len(feats)], TopK: topK, NProbe: 8, Category: -1}
+					for _, s := range parts {
+						if _, err := s.Search(req); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

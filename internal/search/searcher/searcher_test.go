@@ -3,6 +3,7 @@ package searcher
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -441,4 +442,63 @@ func TestManySearchersShareNothing(t *testing.T) {
 			t.Fatalf("node %d: %+v", i, resp.Hits)
 		}
 	}
+}
+
+// TestSearchRejectsNonFiniteOverRPC: a query with a NaN or ±Inf
+// coordinate comes back from the searcher as an error, not a page — on an
+// unbatched exact searcher and on a batching 4-bit one, where the bad
+// query shares its batch window with good ones that still get pages.
+func TestSearchRejectsNonFiniteOverRPC(t *testing.T) {
+	f := newFixture(t, 40)
+	plain, err := New(Config{Shard: f.shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	batched, err := New(Config{Shard: pqShard(t, f, 4), BatchWindow: 5 * time.Millisecond, BatchMaxQueries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+
+	good := f.feats[f.cat.Products[0].ImageURLs[0]]
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, coord := range []int{0, testDim / 2, testDim - 1} {
+			bad := append([]float32(nil), good...)
+			bad[coord] = v
+			for _, s := range []*Searcher{plain, batched} {
+				var wg sync.WaitGroup
+				for i := 0; i < 4; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						feat := good
+						if i == 0 {
+							feat = bad
+						}
+						req := &core.SearchRequest{Feature: feat, TopK: 5, NProbe: 8, Category: -1}
+						raw, err := callSearchRaw(s.Addr(), req)
+						switch {
+						case i == 0 && err == nil:
+							t.Errorf("%v at coordinate %d: searcher returned a page (%d bytes), want an error", v, coord, len(raw))
+						case i != 0 && err != nil:
+							t.Errorf("%v at coordinate %d: good query beside it failed: %v", v, coord, err)
+						}
+					}(i)
+				}
+				wg.Wait()
+			}
+		}
+	}
+}
+
+// callSearchRaw is callSearch without the test assertions, safe to call
+// from any goroutine: it returns the raw response or the call's error.
+func callSearchRaw(addr string, req *core.SearchRequest) ([]byte, error) {
+	c, err := rpc.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Call(context.Background(), search.MethodSearch, core.EncodeSearchRequest(req))
 }

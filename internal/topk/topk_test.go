@@ -1,6 +1,9 @@
 package topk
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -269,6 +272,229 @@ func TestSortedMatchesResults(t *testing.T) {
 		Sort(want)
 		if got := a.Sorted(); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: Sorted %v, sorted Unordered %v", trial, got, want)
+		}
+	}
+}
+
+// sortOracle returns the k best of items in (Dist, ID) order, by sorting
+// a copy of all of them.
+func sortOracle(items []Item, k int) []Item {
+	oracle := append([]Item(nil), items...)
+	sort.Slice(oracle, func(i, j int) bool { return itemLess(oracle[i], oracle[j]) })
+	if len(oracle) > k {
+		oracle = oracle[:k]
+	}
+	return oracle
+}
+
+// tiedCandidates returns n candidates with distinct IDs in shuffled order
+// and distances drawn from about n/3 values, so ties are common — at the
+// k boundary too.
+func tiedCandidates(rng *rand.Rand, n int) []Item {
+	items := make([]Item, n)
+	for i, id := range rng.Perm(n) {
+		items[i] = Item{ID: uint64(id), Dist: float32(rng.Intn(n/3 + 1))}
+	}
+	return items
+}
+
+// reservoirNs lists the candidate counts tried at capacity k: every n from
+// 0 to 4k for small k; for large k the compaction boundaries around k, 2k,
+// 3k and 4k plus a stride through the rest.
+func reservoirNs(k int) []int {
+	var ns []int
+	if k <= 30 {
+		for n := 0; n <= 4*k; n++ {
+			ns = append(ns, n)
+		}
+		return ns
+	}
+	for m := 1; m <= 4; m++ {
+		ns = append(ns, m*k-1, m*k, m*k+1)
+	}
+	for n := 0; n <= 4*k; n += 97 {
+		ns = append(ns, n)
+	}
+	return ns
+}
+
+// TestReservoirMatchesSortOracle checks the reservoir against sorting the
+// whole candidate list across capacities from 1 to the searcher's 900-deep
+// over-fetch, every fill level up to four buffers' worth (so zero to
+// several compactions), shuffled push orders and boundary ties.
+func TestReservoirMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, k := range []int{1, 2, 3, 30, 900} {
+		s := New(k)
+		for _, n := range reservoirNs(k) {
+			items := tiedCandidates(rng, n)
+			s.ResetK(k)
+			for _, it := range items {
+				s.Push(it.ID, it.Dist)
+			}
+			want := sortOracle(items, k)
+			if s.Len() != len(want) {
+				t.Fatalf("k=%d n=%d: Len %d, want %d", k, n, s.Len(), len(want))
+			}
+			got := append([]Item(nil), s.Unordered()...)
+			Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d n=%d: Unordered disagrees with sort oracle:\ngot  %v\nwant %v", k, n, got, want)
+			}
+			if got := s.Sorted(); !slices.Equal(got, want) {
+				t.Fatalf("k=%d n=%d: Sorted disagrees with sort oracle:\ngot  %v\nwant %v", k, n, got, want)
+			}
+		}
+	}
+}
+
+// TestReservoirFoldInterleaved replays the parallel scan's fold: each
+// worker selector's Unordered drain is pushed into worker 0's, with the
+// scan's WorstDist reads interleaved between pushes (and used to skip, as
+// the 4-bit scan does), and worker 0 keeps scanning after being drained.
+func TestReservoirFoldInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		k := []int{1, 2, 3, 30, 900}[trial%5]
+		workers := 2 + rng.Intn(3)
+		all := tiedCandidates(rng, rng.Intn(4*k+1)*workers/2)
+		sels := make([]*Selector, workers)
+		for w := range sels {
+			sels[w] = New(k)
+		}
+		// Worker 0 is drained once mid-scan and then scans on.
+		half := len(all) / 2
+		for _, it := range all[:half] {
+			sels[rng.Intn(workers)].Push(it.ID, it.Dist)
+		}
+		_ = sels[0].Unordered()
+		for _, it := range all[half:] {
+			sels[rng.Intn(workers)].Push(it.ID, it.Dist)
+		}
+		for w := 1; w < workers; w++ {
+			for _, it := range sels[w].Unordered() {
+				if worst, ok := sels[0].WorstDist(); ok && it.Dist > worst {
+					continue
+				}
+				sels[0].Push(it.ID, it.Dist)
+			}
+		}
+		got := append([]Item(nil), sels[0].Unordered()...)
+		Sort(got)
+		if want := sortOracle(all, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (k=%d, %d workers, n=%d): fold disagrees with sort oracle:\ngot  %v\nwant %v",
+				trial, k, workers, len(all), got, want)
+		}
+	}
+}
+
+// TestResetKGrowsAndShrinks runs one pooled selector through capacities
+// that grow past and shrink below its buffer, checking every query's
+// selection and that a shrink or a regrow within capacity allocates
+// nothing.
+func TestResetKGrowsAndShrinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	s := New(2)
+	for _, k := range []int{2, 900, 3, 30, 1, 900, 2, 300} {
+		items := tiedCandidates(rng, 3*k+7)
+		s.ResetK(k)
+		for _, it := range items {
+			s.Push(it.ID, it.Dist)
+		}
+		if got, want := s.Sorted(), sortOracle(items, k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: got %v, want %v", k, got, want)
+		}
+	}
+	items := tiedCandidates(rng, 2000)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, k := range []int{900, 1, 30, 900} {
+			s.ResetK(k)
+			for _, it := range items {
+				s.Push(it.ID, it.Dist)
+			}
+			s.Sorted()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled selector allocated %.0f times per run", allocs)
+	}
+}
+
+// TestWorstDistSkipSafety pins what the 4-bit scan's d > worst skip
+// relies on: after every push, WorstDist is no better than the true k-th
+// best so far (exactly it right after the k-th push), and Push rejects a
+// candidate just above it.
+func TestWorstDistSkipSafety(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, k := range []int{1, 2, 3, 30, 900} {
+		items := tiedCandidates(rng, 4*k+5)
+		s := New(k)
+		var prefix []float32 // sorted distances pushed so far
+		for i, it := range items {
+			s.Push(it.ID, it.Dist)
+			j, _ := slices.BinarySearch(prefix, it.Dist)
+			prefix = slices.Insert(prefix, j, it.Dist)
+			worst, ok := s.WorstDist()
+			if ok != (i+1 >= k) {
+				t.Fatalf("k=%d after %d pushes: bounded=%v", k, i+1, ok)
+			}
+			if !ok {
+				continue
+			}
+			kth := prefix[k-1]
+			if worst < kth || (i+1 == k && worst != kth) {
+				t.Fatalf("k=%d after %d pushes: WorstDist %v, true k-th best %v", k, i+1, worst, kth)
+			}
+			if s.Push(uint64(1<<40+i), math.Nextafter32(worst, float32(math.Inf(1)))) {
+				t.Fatalf("k=%d after %d pushes: accepted a candidate above WorstDist %v", k, i+1, worst)
+			}
+		}
+	}
+}
+
+// TestSelectNthComparisonBudget feeds the compaction's quickselect the
+// inputs that defeat naive pivots — sorted, reverse-sorted, all-equal and
+// organ-pipe — at buffer sizes around the searcher's (2k for k 30 to 900)
+// and checks it places the requested rank correctly within an n·log₂n
+// comparison budget. A quickselect that went quadratic on one of them
+// would spend ~n²/2: nearly 200 times the budget at n=5000.
+func TestSelectNthComparisonBudget(t *testing.T) {
+	shapes := map[string]func(i, n int) float32{
+		"sorted":    func(i, n int) float32 { return float32(i) },
+		"reverse":   func(i, n int) float32 { return float32(n - i) },
+		"all-equal": func(i, n int) float32 { return 1 },
+		"organ-pipe": func(i, n int) float32 {
+			return float32(min(i, n-1-i))
+		},
+		"sawtooth": func(i, n int) float32 { return float32(i % 16) },
+	}
+	for name, dist := range shapes {
+		for _, n := range []int{64, 200, 600, 1800, 5000} {
+			for _, rank := range []int{0, n / 2, n/2 - 1, n - 2, n - 1} {
+				for _, sameID := range []bool{false, true} {
+					items := make([]Item, n)
+					for i := range items {
+						items[i] = Item{ID: uint64(i), Dist: dist(i, n)}
+						if sameID {
+							items[i].ID = 7 // fully identical items when distances are equal
+						}
+					}
+					want := sortOracle(items, n)[rank]
+					cmps := selectNth(items, rank)
+					label := fmt.Sprintf("%s n=%d rank=%d sameID=%v", name, n, rank, sameID)
+					if items[rank] != want {
+						t.Fatalf("%s: items[rank] = %v, want %v", label, items[rank], want)
+					}
+					for i, it := range items {
+						if (i < rank && itemLess(want, it)) || (i > rank && itemLess(it, want)) {
+							t.Fatalf("%s: item %d (%v) on the wrong side of %v", label, i, it, want)
+						}
+					}
+					if budget := n * bits.Len(uint(n)); cmps > budget {
+						t.Fatalf("%s: %d comparisons, budget n·log₂n = %d", label, cmps, budget)
+					}
+				}
+			}
 		}
 	}
 }
